@@ -66,17 +66,19 @@ impl<'a, P: Sync, M: Metric<P>> Gmm<'a, P, M> {
         let points = self.points;
         // One O(n) scan, chunked for the pool at the granularity the
         // adaptive splitter currently targets (finer while the pool
-        // observes steals, coarser when its workers are saturated): each
-        // chunk relaxes its points against the new center (comparing
-        // sqrt-free proxies) and reports its local farthest point; chunk
-        // winners combine left-to-right, earliest index winning ties —
-        // identical to a sequential scan for every chunk length. Inside a
-        // chunk the proxies come from the batched block kernel, in stack
-        // sub-blocks (bit-identical to per-point `cmp_distance`, see the
+        // observes steals, coarser when its workers are saturated), but
+        // never below the shim's work grain at one distance per point, so
+        // a small partition's scan runs as one chunk. Each chunk relaxes
+        // its points against the new center (comparing sqrt-free proxies)
+        // and reports its local farthest point; chunk winners combine
+        // left-to-right, earliest index winning ties — identical to a
+        // sequential scan for every chunk length. Inside a chunk the
+        // proxies come from the batched block kernel, in stack sub-blocks
+        // (bit-identical to per-point `cmp_distance`, see the
         // `Metric::cmp_distance_block` contract), and the relax loop then
         // visits them in the same order the scalar scan did.
         const SUB: usize = 128;
-        let scan_chunk = rayon::adaptive_chunk_len(self.dist.len());
+        let scan_chunk = rayon::adaptive_chunk_len(self.dist.len(), 1);
         let (far_idx, far_cmp) = self
             .dist
             .par_chunks_mut(scan_chunk)

@@ -166,7 +166,7 @@ where
     let round2_time = round2_start.elapsed();
 
     // Objective evaluation on the full dataset (not part of the MR rounds;
-    // run inside the engine's pool so parallelism honours ℓ).
+    // run on the engine's threads).
     let final_radius = engine.run_scoped(|| radius(points, &centers, metric));
 
     Ok(MrKCenterResult {

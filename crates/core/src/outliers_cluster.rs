@@ -336,12 +336,13 @@ pub fn outliers_cluster<O: DistanceOracle>(
     let mut covered = vec![false; n];
     let mut uncovered_count = n;
 
-    // Balls per parallel chunk: each ball costs an `O(|T|)` inner scan, so
-    // the pool's adaptive splitter decides the granularity (it splits
-    // finer while steals are observed, coarser once workers saturate).
-    // Any positive chunk length yields identical results: writes are
-    // per-element and `base` tracks the chosen length.
-    let ball_chunk = rayon::adaptive_chunk_len(n);
+    // Balls per parallel chunk: each ball costs an `O(|T|)` inner scan —
+    // `n` distances, which the work grain counts — so the pool's adaptive
+    // splitter decides the granularity (it splits finer while steals are
+    // observed, coarser once workers saturate). Any positive chunk length
+    // yields identical results: writes are per-element and `base` tracks
+    // the chosen length.
+    let ball_chunk = rayon::adaptive_chunk_len(n, n);
 
     // Initial ball weights over all (uncovered) points: O(n²), chunked for
     // the pool. Each ball's inner scan runs through the oracle's batched

@@ -3,9 +3,13 @@
 //! A round transforms a multiset of key–value pairs by applying a mapper to
 //! every pair independently, grouping the results by key (the shuffle), and
 //! applying a reducer to every group independently — the MR model of the
-//! paper's §2.1. Map and reduce phases run on a dedicated rayon thread pool
-//! whose size is the simulated parallelism `ℓ`, so wall-clock scalability
-//! experiments (paper Fig. 7) reflect the configured number of "processors".
+//! paper's §2.1. `ℓ` counts reducers, the model's logical machines, not OS
+//! threads: the caller partitions into `ℓ` groups and the memory report
+//! accounts `ℓ` reducers, while map and reduce phases run on a dedicated
+//! rayon pool of `min(ℓ, rayon::current_num_threads())` threads — outside
+//! any pool that is `RAYON_NUM_THREADS` or the hardware thread count. The
+//! cap changes scheduling only; every round's output is the same at any
+//! thread count.
 //!
 //! Reducers are ordinary closures and may resolve shared, even persistent,
 //! state: the outlier algorithms' round 2 prices its coreset union into a
@@ -17,8 +21,8 @@
 //! produce.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use crate::memory::{MemoryReport, RoundStats};
@@ -32,7 +36,8 @@ pub struct MapReduceEngine {
 }
 
 impl MapReduceEngine {
-    /// Creates an engine simulating `parallelism` processors.
+    /// Creates an engine simulating `parallelism` processors, scheduled on
+    /// `min(parallelism, rayon::current_num_threads())` threads.
     ///
     /// # Panics
     ///
@@ -40,7 +45,7 @@ impl MapReduceEngine {
     pub fn new(parallelism: usize) -> Self {
         assert!(parallelism > 0, "parallelism must be positive");
         let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(parallelism)
+            .num_threads(parallelism.min(rayon::current_num_threads()))
             .build()
             .expect("failed to build rayon pool");
         MapReduceEngine {
@@ -57,7 +62,13 @@ impl MapReduceEngine {
 
     /// Snapshot of the memory accounting over all rounds run so far.
     pub fn memory_report(&self) -> MemoryReport {
-        self.report.lock().clone()
+        self.report().clone()
+    }
+
+    /// The accounting lock. Every update is one `record` push, which
+    /// leaves the report valid, so a poisoned lock is taken over as is.
+    fn report(&self) -> MutexGuard<'_, MemoryReport> {
+        self.report.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Executes one MapReduce round.
@@ -91,7 +102,7 @@ impl MapReduceEngine {
                 max_reducer_load: groups.values().map(Vec::len).max().unwrap_or(0),
                 total_pairs: total_inputs,
             };
-            self.report.lock().record(stats);
+            self.report().record(stats);
 
             // Reduce phase, parallel over key groups; key order preserved in
             // the output by collecting per-group vectors first.
@@ -107,7 +118,7 @@ impl MapReduceEngine {
     /// Runs a closure inside the engine's thread pool (used by algorithms
     /// for parallel work outside strict MapReduce rounds — e.g. the final
     /// radius evaluation over the full dataset — so that *all* parallelism
-    /// in an experiment honours the configured `ℓ`).
+    /// in an experiment runs on the engine's threads).
     pub fn run_scoped<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
         self.pool.install(f)
     }
@@ -172,18 +183,77 @@ mod tests {
         assert_eq!(engine.memory_report().round_count(), 2);
     }
 
+    /// The engine's thread count when built at the current scope: `ℓ`
+    /// capped at the scope's threads (`RAYON_NUM_THREADS` or the hardware
+    /// count outside any pool).
+    fn expected_threads(ell: usize) -> usize {
+        ell.min(rayon::current_num_threads())
+    }
+
     #[test]
     fn reduce_runs_with_configured_parallelism() {
-        // The pool really has ℓ threads: with ℓ = 3 the maximum number of
-        // rayon workers observed inside reducers is at most 3.
+        // ℓ = 3 reducers run on min(3, machine) threads; ℓ itself is kept.
+        let observe = |engine: &MapReduceEngine| -> Vec<usize> {
+            engine.round(
+                (0..64u32).collect(),
+                |x| (x % 16, x),
+                |_, _| vec![rayon::current_num_threads()],
+            )
+        };
         let engine = MapReduceEngine::new(3);
-        let items: Vec<u32> = (0..64).collect();
-        let observed: Vec<usize> = engine.round(
-            items,
-            |x| (x % 16, x),
-            |_, _| vec![rayon::current_num_threads()],
+        assert_eq!(engine.parallelism(), 3);
+        let observed = observe(&engine);
+        assert_eq!(observed.len(), 16);
+        assert!(observed.iter().all(|&t| t == expected_threads(3)));
+
+        // Built inside a pool, the cap is that pool's size: below ℓ it
+        // wins, above ℓ the engine keeps ℓ threads.
+        for (outer, want) in [(1, 1), (2, 2), (8, 3)] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(outer)
+                .build()
+                .unwrap();
+            let engine = pool.install(|| MapReduceEngine::new(3));
+            assert_eq!(engine.parallelism(), 3);
+            let observed = observe(&engine);
+            assert!(
+                observed.iter().all(|&t| t == want),
+                "ℓ = 3 inside a {outer}-thread pool: {observed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn many_reducers_share_the_machines_threads() {
+        // ℓ = 64 logical reducers run on at most min(64, machine) OS
+        // threads (counted by id: worker names repeat across pools), and
+        // the accounting still shows 64 reducers.
+        use std::collections::HashSet;
+        use std::thread::ThreadId;
+        let engine = MapReduceEngine::new(64);
+        let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+        let out: Vec<usize> = engine.round(
+            (0..640usize).collect(),
+            |x| (x % 64, x),
+            |_, vs| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                // Keep reducers busy long enough for every thread to claim some.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                vec![vs.len()]
+            },
         );
-        assert!(observed.iter().all(|&t| t == 3));
+        assert_eq!(out, vec![10; 64]);
+        let threads = seen.into_inner().unwrap().len();
+        assert!(threads >= 1);
+        assert!(
+            threads <= expected_threads(64),
+            "{threads} threads ran reducers, cap is {}",
+            expected_threads(64)
+        );
+        assert_eq!(engine.parallelism(), 64);
+        let report = engine.memory_report();
+        assert_eq!(report.rounds[0].reducers, 64);
+        assert_eq!(report.rounds[0].max_reducer_load, 10);
     }
 
     #[test]
@@ -249,7 +319,15 @@ mod tests {
     #[test]
     fn run_scoped_executes_in_engine_pool() {
         let engine = MapReduceEngine::new(2);
+        assert_eq!(engine.parallelism(), 2);
         let threads = engine.run_scoped(rayon::current_num_threads);
-        assert_eq!(threads, 2);
+        assert_eq!(threads, expected_threads(2));
+        let single = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let engine = single.install(|| MapReduceEngine::new(2));
+        assert_eq!(engine.parallelism(), 2);
+        assert_eq!(engine.run_scoped(rayon::current_num_threads), 1);
     }
 }

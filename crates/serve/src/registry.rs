@@ -3,6 +3,7 @@
 //! transparent restore-on-touch.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use kcenter_core::radius_search::CoresetSolution;
@@ -12,7 +13,6 @@ use kcenter_core::{WeightedDoublingCoreset, WeightedPoint};
 use kcenter_metric::{Fingerprint, Metric, Point};
 use kcenter_store::{ArtifactStore, StoredSession};
 use kcenter_stream::{ChannelSource, StreamingAlgorithm};
-use parking_lot::Mutex;
 
 use crate::ServeError;
 
@@ -196,6 +196,12 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
             store,
             config,
         })
+    }
+
+    /// The registry-wide lock. A panic in one request must not wedge every
+    /// later one, so a poisoned lock is taken over as is.
+    fn lock(&self) -> MutexGuard<'_, Inner<M>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The registry's configuration.
@@ -423,7 +429,7 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
         stream: &str,
         points: Vec<Point>,
     ) -> Result<IngestReport, ServeError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let restored = self
             .make_resident(&mut inner, tenant, stream, true)?
             .expect("create = true always yields a session");
@@ -512,7 +518,7 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
                 "eps must be positive and finite".into(),
             ));
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if self
             .make_resident(&mut inner, tenant, stream, false)?
             .is_none()
@@ -584,7 +590,7 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
         if self.store.is_none() {
             return Err(ServeError::NoStore);
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let key = (tenant.to_string(), stream.to_string());
         let entry = inner.sessions.get(&key).ok_or(ServeError::UnknownSession)?;
         let was_resident = matches!(entry.state, EntryState::Resident(_));
@@ -597,7 +603,7 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
     /// Per-session stat; errors on a session this registry has never seen
     /// (and that the store does not hold).
     pub fn session_stat(&self, tenant: &str, stream: &str) -> Result<SessionStat, ServeError> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let key = (tenant.to_string(), stream.to_string());
         if let Some(entry) = inner.sessions.get(&key) {
             return Ok(match &entry.state {
@@ -630,7 +636,7 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
 
     /// Registry-wide counters.
     pub fn stats(&self) -> RegistryStats {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         RegistryStats {
             sessions: inner.sessions.len(),
             resident_sessions: inner
@@ -651,7 +657,7 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
         if self.store.is_none() {
             return Ok(0);
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let keys: Vec<(String, String)> = inner
             .sessions
             .iter()

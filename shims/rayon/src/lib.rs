@@ -40,15 +40,13 @@
 //! * **`install` runs on the calling thread.** The closure executes on the
 //!   submitter, which participates in its own jobs; upstream moves it onto
 //!   a worker. Observable semantics (`current_num_threads`, nesting,
-//!   result values) are preserved, and the simulated-`ℓ` thread count the
-//!   MapReduce memory model observes is honoured: a pool built with
-//!   `num_threads(ℓ)` spawns `ℓ - 1` workers and reports `ℓ`.
+//!   result values) are preserved: a pool built with `num_threads(n)`
+//!   spawns `n - 1` workers and reports `n`.
 //!
 //! A pool (or the lazily-built global pool) only parallelizes when its
-//! simulated thread count exceeds 1; single-thread pools run every
-//! operation inline with no splitting, locking, or allocation beyond the
-//! source materialization, so `ℓ = 1` behaves exactly like the old
-//! sequential shim.
+//! thread count exceeds 1; single-thread pools run every operation inline
+//! with no splitting, locking, or allocation beyond the source
+//! materialization, so one thread behaves exactly like a sequential shim.
 
 mod pool;
 mod slice;
@@ -99,8 +97,8 @@ fn current_context() -> pool::Ctx {
     pool::current_ctx().unwrap_or_else(global_ctx)
 }
 
-/// Number of threads of the current pool scope (the simulated parallelism
-/// inside [`ThreadPool::install`], otherwise the machine's parallelism).
+/// Number of threads of the current pool scope (the pool's size inside
+/// [`ThreadPool::install`], otherwise the machine's parallelism).
 pub fn current_num_threads() -> usize {
     pool::current_ctx()
         .map(|c| c.threads)
@@ -127,14 +125,22 @@ pub fn current_chunks_per_thread() -> usize {
         .unwrap_or(1)
 }
 
-/// The chunk length the adaptive splitter currently targets for a
-/// `len`-item parallel scan: `ceil(len / (threads × chunks-per-thread))`,
-/// clamped to at least 1. Callers that chunk manually (`par_chunks` /
+/// Minimum work of one chunk from [`adaptive_chunk_len`], in distance
+/// evaluations. A chunk is a fork-join unit; below this much work the
+/// scheduling overhead outweighs what a second thread can save.
+const MIN_CHUNK_DISTANCES: usize = 4096;
+
+/// The chunk length for a `len`-item parallel scan whose items cost
+/// `distances_per_item` distance evaluations each. It is the adaptive
+/// splitter's target, `ceil(len / (threads × chunks-per-thread))`, raised
+/// so that every chunk carries at least 4096 distance evaluations and
+/// clamped to `1..=len`: a scan below that grain runs as one chunk, and at
+/// one thread nothing is split. Callers that chunk manually (`par_chunks` /
 /// `par_chunks_mut` with per-chunk base-index arithmetic) use this instead
 /// of a hard-coded chunk constant; any positive chunk length yields the
-/// same results for order-preserving chunked scans, so adaptivity here is
+/// same results for order-preserving chunked scans, so the length is
 /// purely a performance knob.
-pub fn adaptive_chunk_len(len: usize) -> usize {
+pub fn adaptive_chunk_len(len: usize, distances_per_item: usize) -> usize {
     let ctx = current_context();
     if ctx.threads <= 1 || len <= 1 {
         return len.max(1);
@@ -145,7 +151,8 @@ pub fn adaptive_chunk_len(len: usize) -> usize {
         .map(|s| s.chunks_per_thread())
         .unwrap_or(1);
     let num_chunks = len.min(ctx.threads * cpt).max(1);
-    len.div_ceil(num_chunks)
+    let grain = MIN_CHUNK_DISTANCES.div_ceil(distances_per_item.max(1));
+    len.div_ceil(num_chunks).max(grain).min(len)
 }
 
 /// Splits `items` into contiguous chunks, runs `work(chunk)` for each on

@@ -223,14 +223,51 @@ fn adaptive_chunk_len_is_positive_and_covers_the_input() {
     let p = pool(4);
     p.install(|| {
         for len in [0usize, 1, 2, 7, 100, 10_000] {
-            let chunk = rayon::adaptive_chunk_len(len);
-            assert!(chunk >= 1, "chunk length 0 for len = {len}");
-            assert!(chunk <= len.max(1), "chunk {chunk} exceeds len {len}");
+            for cost in [0usize, 1, 64, 10_000] {
+                let chunk = rayon::adaptive_chunk_len(len, cost);
+                assert!(chunk >= 1, "chunk length 0 for len = {len}");
+                assert!(chunk <= len.max(1), "chunk {chunk} exceeds len {len}");
+            }
         }
     });
     // Inline (1-thread) execution never splits.
-    assert_eq!(pool(1).install(|| rayon::adaptive_chunk_len(5_000)), 5_000);
+    assert_eq!(
+        pool(1).install(|| rayon::adaptive_chunk_len(5_000, 1)),
+        5_000
+    );
     assert_eq!(pool(1).install(rayon::current_chunks_per_thread), 1);
+}
+
+#[test]
+fn adaptive_chunk_len_honours_the_work_grain() {
+    // The grain is 4096 distance evaluations per chunk.
+    let p = pool(4);
+    p.install(|| {
+        // Below the grain in total: one chunk, whatever the per-item cost.
+        assert_eq!(rayon::adaptive_chunk_len(1408, 1), 1408);
+        assert_eq!(rayon::adaptive_chunk_len(4095, 1), 4095);
+        assert_eq!(rayon::adaptive_chunk_len(63, 64), 63);
+        assert_eq!(rayon::adaptive_chunk_len(2, 2047), 2);
+        // Above it, every chunk carries at least the grain's worth.
+        for (len, cost) in [(20_000usize, 1usize), (100_000, 1), (1760, 1760), (500, 50)] {
+            let chunk = rayon::adaptive_chunk_len(len, cost);
+            assert!(chunk <= len, "chunk {chunk} exceeds len {len}");
+            assert!(
+                chunk * cost >= 4096,
+                "chunk {chunk} × cost {cost} is below the grain"
+            );
+        }
+        // Expensive items keep the splitter's layout: an O(n²) ball pass
+        // over 1760 points still splits into several chunks.
+        assert!(rayon::adaptive_chunk_len(1760, 1760) < 1760);
+    });
+    // At one thread nothing is split, however much work there is.
+    for (len, cost) in [(1usize, 1usize), (4095, 1), (100_000, 1), (1760, 1760)] {
+        assert_eq!(
+            pool(1).install(|| rayon::adaptive_chunk_len(len, cost)),
+            len
+        );
+    }
 }
 
 #[test]
