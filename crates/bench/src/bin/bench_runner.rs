@@ -540,8 +540,8 @@ fn run_exec_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) -> Ex
     }
 }
 
-/// Serve rows: session-ingest throughput through the registry's bounded
-/// channel and per-query latency on a live session — the solver path
+/// Serve rows: session-ingest throughput through the registry's ingest
+/// loop and per-query latency on a live session — the solver path
 /// versus the per-session answer memo, paired (ABBA). The two query arms
 /// run on *separate* sessions because the memo holds a single entry: the
 /// solver arm alternating `k` on the memo arm's session would clobber
@@ -554,13 +554,11 @@ fn run_serve_rows(warmup: usize, samples: usize, records: &mut Vec<Record>) {
         tau: 64,
         memory_budget_points: None,
         snapshot_every: 0,
-        ingest_buffer: 256,
     };
     let points = Dataset::Power.generate(n, FIXTURE_DATASET_SEED);
 
     // Ingest throughput: a fresh session absorbs the workload in
-    // 256-point batches, each batch crossing the bounded channel exactly
-    // as a server-side ingest does.
+    // 256-point batches, exactly as a server-side ingest does.
     let m = measure(warmup, samples, || {
         let registry =
             SessionRegistry::new(Euclidean, config.clone(), None).expect("bench registry");

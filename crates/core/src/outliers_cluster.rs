@@ -61,9 +61,8 @@ pub trait DistanceOracle: Sync {
     /// Batched ball-membership test: writes
     /// `cmp_dist(t, base + j) <= cmp_threshold` into `out[j]`.
     ///
-    /// Same contract as [`Metric::within_block`]: overrides may use a
-    /// cheaper first pass (the opt-in f32 proxy) but must decide every
-    /// point identically to the exact comparison.
+    /// Same contract as [`Metric::within_block`]: overrides may be faster
+    /// but must decide every point identically to the exact comparison.
     fn within_block(&self, t: usize, base: usize, cmp_threshold: f64, out: &mut [bool]) {
         for (j, o) in out.iter_mut().enumerate() {
             *o = self.cmp_dist(t, base + j) <= cmp_threshold;

@@ -114,9 +114,8 @@ pub trait Metric<P: ?Sized>: Sync + Send {
     /// Batched ball-membership test on the proxy scale: writes
     /// `cmp_distance(query, block[i]) <= cmp_threshold` into `out[i]`.
     ///
-    /// Overrides may evaluate a cheaper proxy first (the opt-in f32 mode)
-    /// but must make the **identical decision** the exact comparison
-    /// makes for every point — uncertain cases re-verified exactly.
+    /// Overrides may be faster but must make the **identical decision**
+    /// the exact comparison makes for every point.
     fn within_block(&self, query: &P, block: &[P], cmp_threshold: f64, out: &mut [bool])
     where
         P: Sized,

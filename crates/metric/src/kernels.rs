@@ -23,16 +23,6 @@
 //! kernel. Consequently every path — scalar, SSE2, AVX — returns the same
 //! bits, which is what lets the golden figures and the exec determinism
 //! suite stay byte-identical whichever ISA the host has.
-//!
-//! # f32 proxy mode
-//!
-//! `KCENTER_F32_PROXY=1` (or [`set_f32_proxy`]) opts threshold scans
-//! ([`within_block`]) into a single-precision first pass: the proxy
-//! classifies each point against the radius with a rigorous error margin,
-//! and only points inside the uncertainty band are re-verified with the
-//! exact `f64` kernel. Decisions are therefore **identical** to the pure
-//! `f64` path by construction; only the arithmetic for clear-cut points is
-//! cheaper. Value-returning kernels ([`cmp_block`]) never use the proxy.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -84,21 +74,6 @@ pub fn set_force_scalar(on: bool) {
 /// Whether kernels are currently pinned to the scalar reference path.
 pub fn force_scalar() -> bool {
     force_scalar_cell().load(Ordering::Relaxed)
-}
-
-fn f32_proxy_cell() -> &'static AtomicBool {
-    static CELL: OnceLock<AtomicBool> = OnceLock::new();
-    CELL.get_or_init(|| AtomicBool::new(env_flag("KCENTER_F32_PROXY")))
-}
-
-/// Overrides the `KCENTER_F32_PROXY` opt-in programmatically.
-pub fn set_f32_proxy(on: bool) {
-    f32_proxy_cell().store(on, Ordering::Relaxed);
-}
-
-/// Whether threshold scans run the f32 proxy first pass.
-pub fn f32_proxy() -> bool {
-    f32_proxy_cell().load(Ordering::Relaxed)
 }
 
 /// The best ISA this host supports, detected once per process.
@@ -199,8 +174,7 @@ pub fn cmp_block<P: Coordinates>(kind: KernelMetric, query: &[f64], block: &[P],
 /// metric's comparison-proxy scale).
 ///
 /// Decisions are identical to computing the exact `f64` proxy and
-/// comparing — including under the opt-in f32 proxy mode, whose margin
-/// classification re-verifies every uncertain point with the exact kernel.
+/// comparing.
 ///
 /// # Panics
 ///
@@ -213,12 +187,8 @@ pub fn within_block<P: Coordinates>(
     out: &mut [bool],
 ) {
     assert_eq!(block.len(), out.len(), "output length mismatch");
-    if f32_proxy() {
-        within_block_f32(kind, query, block, cmp_threshold, out);
-        return;
-    }
-    // Exact path: proxy values through the dispatched kernel, compared in
-    // place. Stack sub-blocks keep the distance buffer out of the heap.
+    // Proxy values through the dispatched kernel, compared in place.
+    // Stack sub-blocks keep the distance buffer out of the heap.
     let mut buf = [0.0f64; 64];
     for (bchunk, ochunk) in block.chunks(64).zip(out.chunks_mut(64)) {
         let k = bchunk.len();
@@ -297,85 +267,6 @@ pub fn cosine_block<P: Coordinates>(query: &[f64], block: &[P], out: &mut [f64])
         Isa::Avx => x86::cosine_block_avx(query, block, out),
         #[cfg(not(target_arch = "x86_64"))]
         _ => cosine_block_scalar(query, block, out),
-    }
-}
-
-/// f32 proxy first pass for [`within_block`].
-///
-/// For each point the proxy value is computed in single precision and
-/// compared against `cmp_threshold ± margin`, where `margin` bounds the
-/// worst-case error of the f32 evaluation relative to the exact f64 value
-/// (standard forward error analysis with generous constants; `C` is the
-/// largest coordinate magnitude in the pair, `m` the dimension, `u` the
-/// f32 precision). Clear-cut points are decided by the proxy; points in
-/// the band are re-verified with the exact scalar kernel, so the final
-/// decision vector equals the exact path's bit for bit.
-fn within_block_f32<P: Coordinates>(
-    kind: KernelMetric,
-    query: &[f64],
-    block: &[P],
-    cmp_threshold: f64,
-    out: &mut [bool],
-) {
-    let m = query.len();
-    let q32: Vec<f32> = query.iter().map(|&x| x as f32).collect();
-    let qmax = query.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
-    // 2^-23: one full f32 epsilon per rounding, double the unit roundoff —
-    // slack on top of already-conservative margin constants.
-    let u = f32::EPSILON as f64;
-    let md = m as f64;
-    for (o, p) in out.iter_mut().zip(block) {
-        let r = p.coords();
-        let mut rmax = 0.0f32;
-        let proxy32 = match kind {
-            KernelMetric::Euclidean => {
-                let mut acc = 0.0f32;
-                for (d, &x) in q32.iter().enumerate() {
-                    let y = r[d] as f32;
-                    rmax = rmax.max(y.abs());
-                    let diff = x - y;
-                    acc += diff * diff;
-                }
-                acc
-            }
-            KernelMetric::Manhattan => {
-                let mut acc = 0.0f32;
-                for (d, &x) in q32.iter().enumerate() {
-                    let y = r[d] as f32;
-                    rmax = rmax.max(y.abs());
-                    acc += (x - y).abs();
-                }
-                acc
-            }
-            KernelMetric::Chebyshev => {
-                let mut acc = 0.0f32;
-                for (d, &x) in q32.iter().enumerate() {
-                    let y = r[d] as f32;
-                    rmax = rmax.max(y.abs());
-                    acc = acc.max((x - y).abs());
-                }
-                acc
-            }
-        };
-        // The f32 coordinate maxima under-estimate the f64 maxima by at
-        // most one rounding; the (1 + 1e-6) factor restores a sound bound.
-        let c = qmax.max(rmax as f64 * (1.0 + 1e-6));
-        let margin = match kind {
-            KernelMetric::Euclidean => 8.0 * c * c * u * (md * md + 8.0 * md + 8.0),
-            KernelMetric::Manhattan => 4.0 * c * u * (md * md + 4.0 * md + 4.0),
-            KernelMetric::Chebyshev => 16.0 * c * u,
-        };
-        let proxy = proxy32 as f64;
-        *o = if !proxy.is_finite() || !(margin.is_finite()) {
-            // Coordinates overflowed f32: the proxy says nothing.
-            scalar_cmp(kind, query, r) <= cmp_threshold
-        } else if proxy > cmp_threshold + margin {
-            false
-        } else if proxy < cmp_threshold - margin {
-            true
-        } else {
-            scalar_cmp(kind, query, r) <= cmp_threshold
-        };
     }
 }
 
@@ -688,55 +579,6 @@ mod tests {
                     assert_eq!(*f, c <= t, "{kind:?} t={t}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn f32_proxy_decisions_are_identical() {
-        let block = pts(&[
-            &[0.1, 0.2, 0.30000000000000004],
-            &[1e8, -1e8, 5e7],
-            &[1e-40, -1e-40, 0.0], // subnormal in f32
-            &[0.1, 0.2, 0.3],
-            &[123.456, -654.321, 0.001],
-        ]);
-        let query = [0.1, 0.2, 0.3];
-        let mut cmps = vec![0.0; block.len()];
-        for kind in KINDS {
-            cmp_block_scalar(kind, &query, &block, &mut cmps);
-            let mut thresholds: Vec<f64> = cmps.clone();
-            thresholds.extend(cmps.iter().map(|c| c * (1.0 + 1e-12)));
-            thresholds.extend(cmps.iter().map(|c| c * (1.0 - 1e-12)));
-            thresholds.push(0.0);
-            for &t in &thresholds {
-                let mut exact = vec![false; block.len()];
-                within_block(kind, &query, &block, t, &mut exact);
-                set_f32_proxy(true);
-                let mut proxied = vec![false; block.len()];
-                within_block(kind, &query, &block, t, &mut proxied);
-                set_f32_proxy(false);
-                assert_eq!(exact, proxied, "{kind:?} t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_proxy_survives_f32_overflow() {
-        // 1e300 overflows to inf in f32: the proxy must fall back to the
-        // exact kernel rather than mis-classify.
-        let block = pts(&[&[1e300], &[-1e300], &[0.0]]);
-        let query = [1e300];
-        for kind in KINDS {
-            let mut cmps = vec![0.0; block.len()];
-            cmp_block_scalar(kind, &query, &block, &mut cmps);
-            let t = cmps[2];
-            let mut exact = vec![false; block.len()];
-            within_block(kind, &query, &block, t, &mut exact);
-            set_f32_proxy(true);
-            let mut proxied = vec![false; block.len()];
-            within_block(kind, &query, &block, t, &mut proxied);
-            set_f32_proxy(false);
-            assert_eq!(exact, proxied, "{kind:?}");
         }
     }
 

@@ -5,9 +5,10 @@
 //! users; this crate is that always-on layer. A [`SessionRegistry`] keeps
 //! one resumable `WeightedDoublingCoreset` per `(tenant, stream)`:
 //!
-//! * **Ingest** — batches ride a bounded channel (the `kcenter-stream`
-//!   `ChannelSource` shape) into the session's coreset; per-batch metering
-//!   counts only time inside `process`, like `run_stream`.
+//! * **Ingest** — each batch is fed to the session's coreset in a direct
+//!   loop, one `process` call per point (the paper's one-pass streaming
+//!   model); per-batch metering counts only time inside `process`, like
+//!   `run_stream`.
 //! * **Query** — centers/radius/uncovered-weight on demand via the cached
 //!   finalization path (`solve_coreset` → `CachedOracle` →
 //!   `solve_coreset_cached`) over a snapshot of the live coreset, with a

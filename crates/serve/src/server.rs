@@ -40,6 +40,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use kcenter_exec::protocol::{read_frame, write_frame, PROTOCOL_VERSION};
 use kcenter_metric::{Metric, Point};
@@ -287,61 +288,60 @@ fn accept_loop<M: Metric<Point> + Clone + Send + Sync + 'static>(
         if stop.load(Ordering::Acquire) {
             break;
         }
-        // Both arms produce the connection as a (reader, writer) pair so
-        // one framed loop serves either stream flavour.
-        let served: io::Result<bool> = match &bound {
-            BoundListener::Unix(listener, _) => match listener.accept() {
-                Ok((conn, _)) if stop.load(Ordering::Acquire) => {
-                    drop(conn);
-                    break;
-                }
-                Ok((conn, _)) => {
-                    let registry = Arc::clone(&registry);
-                    let stop = Arc::clone(&stop);
-                    let wake = Arc::clone(&wake);
-                    workers.push(std::thread::spawn(move || {
-                        let halves = conn.try_clone().map(|r| (BufReader::new(r), conn));
-                        finish_connection(
-                            halves.and_then(|(r, w)| serve_connection(registry.as_ref(), r, w)),
-                            &stop,
-                            &wake,
-                        );
-                    }));
-                    continue;
-                }
-                Err(err) => Err(err).map(|()| true),
-            },
-            BoundListener::Tcp(listener) => match listener.accept() {
-                Ok((conn, _)) if stop.load(Ordering::Acquire) => {
-                    drop(conn);
-                    break;
-                }
-                Ok((conn, _)) => {
-                    let _ = conn.set_nodelay(true);
-                    let registry = Arc::clone(&registry);
-                    let stop = Arc::clone(&stop);
-                    let wake = Arc::clone(&wake);
-                    workers.push(std::thread::spawn(move || {
-                        let halves = conn.try_clone().map(|r| (BufReader::new(r), conn));
-                        finish_connection(
-                            halves.and_then(|(r, w)| serve_connection(registry.as_ref(), r, w)),
-                            &stop,
-                            &wake,
-                        );
-                    }));
-                    continue;
-                }
-                Err(err) => Err(err).map(|()| true),
-            },
+        // Each arm splits its stream into a (reader, writer) pair so one
+        // framed loop serves either flavour.
+        let accepted = match &bound {
+            BoundListener::Unix(listener, _) => listener.accept().map(|(conn, _)| {
+                let halves = conn.try_clone().map(|r| (r, conn));
+                spawn_connection(halves, &registry, &stop, &wake)
+            }),
+            BoundListener::Tcp(listener) => listener.accept().map(|(conn, _)| {
+                let _ = conn.set_nodelay(true);
+                let halves = conn.try_clone().map(|r| (r, conn));
+                spawn_connection(halves, &registry, &stop, &wake)
+            }),
         };
-        if let Err(err) = served {
-            eprintln!("kcenter-serve: accept error: {err}");
-            break;
+        match accepted {
+            Ok(Some(worker)) => workers.push(worker),
+            Ok(None) => break,
+            Err(err) => {
+                eprintln!("kcenter-serve: accept error: {err}");
+                break;
+            }
         }
     }
     for worker in workers {
         let _ = worker.join();
     }
+}
+
+/// Serves one accepted connection on its own thread. Returns `None`, and
+/// drops the connection, when the stop flag was raised while `accept`
+/// blocked — that connection is the shutdown wake-up, not a client.
+fn spawn_connection<M, R, W>(
+    halves: io::Result<(R, W)>,
+    registry: &Arc<SessionRegistry<M>>,
+    stop: &Arc<AtomicBool>,
+    wake: &Arc<Vec<WakeTarget>>,
+) -> Option<JoinHandle<()>>
+where
+    M: Metric<Point> + Clone + Send + Sync + 'static,
+    R: Read + Send + 'static,
+    W: Write + Send + 'static,
+{
+    if stop.load(Ordering::Acquire) {
+        return None;
+    }
+    let registry = Arc::clone(registry);
+    let stop = Arc::clone(stop);
+    let wake = Arc::clone(wake);
+    Some(std::thread::spawn(move || {
+        finish_connection(
+            halves.and_then(|(r, w)| serve_connection(registry.as_ref(), BufReader::new(r), w)),
+            &stop,
+            &wake,
+        );
+    }))
 }
 
 /// Routes one finished connection's outcome: a shutdown request raises

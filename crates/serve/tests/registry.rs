@@ -2,11 +2,14 @@
 //! across registry instances, and the unix-socket protocol end to end.
 
 use std::path::PathBuf;
+use std::time::Instant;
 
+use kcenter_core::WeightedDoublingCoreset;
 use kcenter_metric::{Euclidean, Point};
 use kcenter_serve::server::reply_field;
 use kcenter_serve::{run_server, RegistryConfig, ServeClient, ServeError, SessionRegistry};
 use kcenter_store::ArtifactStore;
+use kcenter_stream::StreamingAlgorithm;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -32,7 +35,6 @@ fn config(tau: usize, budget: Option<usize>) -> RegistryConfig {
         tau,
         memory_budget_points: budget,
         snapshot_every: 0,
-        ingest_buffer: 32,
     }
 }
 
@@ -179,6 +181,62 @@ fn query_answers_are_memoized_per_stream_position() {
     // …and so does new data.
     registry.ingest("t", "s", session_points(3, 10)).unwrap();
     assert!(!registry.query("t", "s", 3, 2, 0.25).unwrap().cached);
+}
+
+#[test]
+fn batched_ingest_matches_a_plain_coreset_loop() {
+    // Ingest feeds each batch straight into the session's coreset, so any
+    // batching of one stream must end exactly where a plain `process` loop
+    // over the same points ends — 300-point batches included.
+    const TAU: usize = 16;
+    let points = session_points(5, 600);
+    let mut plain = WeightedDoublingCoreset::new(Euclidean, TAU);
+    for p in points.iter().cloned() {
+        plain.process(p);
+    }
+
+    let registry = SessionRegistry::new(Euclidean, config(TAU, None), None).unwrap();
+    let mut answers = Vec::new();
+    for batch_len in [1, 7, 300] {
+        let stream = format!("batches-of-{batch_len}");
+        let mut last = None;
+        for batch in points.chunks(batch_len) {
+            let started = Instant::now();
+            let report = registry.ingest("t", &stream, batch.to_vec()).unwrap();
+            let wall = started.elapsed();
+            assert_eq!(report.accepted, batch.len());
+            assert!(report.ingest_time <= wall, "ingest_time exceeds the call");
+            last = Some(report);
+        }
+        let report = last.expect("at least one batch");
+        assert_eq!(
+            report.processed,
+            plain.processed(),
+            "batches of {batch_len}"
+        );
+        assert_eq!(
+            report.phi.to_bits(),
+            plain.phi().to_bits(),
+            "batches of {batch_len}"
+        );
+        assert_eq!(
+            report.resident_points,
+            plain.memory_items(),
+            "batches of {batch_len}"
+        );
+        answers.push(registry.query("t", &stream, 3, 5, 0.25).unwrap());
+    }
+    let first = &answers[0];
+    for answer in &answers[1..] {
+        assert_eq!(answer.processed, first.processed);
+        assert_eq!(answer.radius.to_bits(), first.radius.to_bits());
+        assert_eq!(answer.uncovered_weight, first.uncovered_weight);
+        assert_eq!(answer.centers.len(), first.centers.len());
+        for (a, b) in answer.centers.iter().zip(&first.centers) {
+            let bits = |p: &Point| p.coords().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
+        }
+    }
 }
 
 #[test]

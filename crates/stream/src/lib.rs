@@ -13,8 +13,8 @@
 //! * [`run_stream`] — drives an algorithm over an iterator while metering
 //!   throughput and peak working memory ([`StreamReport`]);
 //! * [`source`] — stream sources: in-memory slices and a bounded
-//!   crossbeam-channel source for producer/consumer pipelines (used by the
-//!   `streaming_pipeline` example to emulate a live feed).
+//!   `std::sync::mpsc` channel source for producer/consumer pipelines
+//!   (used by the `streaming_pipeline` example to emulate a live feed).
 
 pub mod algorithm;
 pub mod source;

@@ -5,8 +5,8 @@
 //! paper motivates the streaming setting with "data generated on the fly...
 //! for instance in a streamed DBMS or a social media platform").
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -18,7 +18,7 @@ use std::thread::JoinHandle;
 /// feeding, and never panics. A producer that keeps sending anyway just
 /// keeps getting `false` back.
 pub struct Feeder<T> {
-    sender: Sender<T>,
+    sender: SyncSender<T>,
     disconnected: Arc<AtomicBool>,
 }
 
@@ -27,8 +27,8 @@ impl<T> Feeder<T> {
     ///
     /// Returns `true` when the item was accepted (possibly after blocking
     /// on a full buffer) and `false` when the consumer has hung up — the
-    /// graceful-stop signal. The item is dropped in that case, matching
-    /// crossbeam's `SendError` contract (the value never reached anyone).
+    /// graceful-stop signal. The item is dropped in that case (it never
+    /// reached anyone).
     pub fn send(&self, item: T) -> bool {
         match self.sender.send(item) {
             Ok(()) => true,
@@ -70,7 +70,7 @@ impl<T: Send + 'static> ChannelSource<T> {
     where
         F: FnOnce(Feeder<T>) + Send + 'static,
     {
-        let (tx, rx) = bounded(buffer);
+        let (tx, rx) = sync_channel(buffer);
         let disconnected = Arc::new(AtomicBool::new(false));
         let feeder = Feeder {
             sender: tx,
