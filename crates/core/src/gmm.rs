@@ -10,8 +10,22 @@
 //! The incremental state is exposed ([`Gmm::step`]) because the paper's
 //! coreset constructions keep running GMM *past* `k` iterations until a
 //! radius-based stopping condition fires, and its experiments grow coresets
-//! to a fixed size `τ = µ·k`. Each step costs one parallel `O(n)` distance
-//! scan; `τ` steps cost `O(n·τ)` total.
+//! to a fixed size `τ = µ·k`.
+//!
+//! Each step is one parallel `O(n)` pass over the points, but it prices
+//! only the points the new center might improve. A point whose nearest
+//! center `a` is within half the gap between `a` and the new center `c`
+//! cannot get strictly closer to `c` (triangle inequality), so the pass
+//! skips it after one comparison against a per-center threshold
+//! ([`Metric::no_closer_at_most`]; `τ` small distance calls per step, so
+//! `O(τ²)` over a run). The skipped points are exactly ones the dense scan
+//! would have left unchanged, so results are bit-identical to it; the cost
+//! adapts to the data, from `O(n·τ)` distances in high dimension down to a
+//! small fraction of that on low-dimensional (low doubling dimension)
+//! inputs. The `core.gmm.point_steps` and `core.gmm.distances` counters
+//! record visited and priced points.
+
+use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
@@ -34,6 +48,23 @@ pub struct Gmm<'a, P, M> {
     radii: Vec<f64>,
     /// Index of the current farthest point (the next center candidate).
     farthest: usize,
+    /// Per-step scratch: the skip threshold of each existing center
+    /// ([`Metric::no_closer_at_most`] of its gap to the new center).
+    thr: Vec<f64>,
+}
+
+/// Points visited by GMM scan steps (`n` per step), kept in the shared
+/// metrics registry under `core.gmm.point_steps`.
+fn point_steps() -> &'static kcenter_obs::Counter {
+    static COUNTER: OnceLock<kcenter_obs::Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| kcenter_obs::counter("core.gmm.point_steps"))
+}
+
+/// Distances GMM scan steps actually evaluated (`core.gmm.distances`);
+/// `1 - distances / point_steps` is the share the pruning skipped.
+fn distances() -> &'static kcenter_obs::Counter {
+    static COUNTER: OnceLock<kcenter_obs::Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| kcenter_obs::counter("core.gmm.distances"))
 }
 
 impl<'a, P: Sync, M: Metric<P>> Gmm<'a, P, M> {
@@ -53,6 +84,7 @@ impl<'a, P: Sync, M: Metric<P>> Gmm<'a, P, M> {
             centers: Vec::new(),
             radii: Vec::new(),
             farthest: 0,
+            thr: Vec::new(),
         };
         gmm.add_center(first);
         gmm
@@ -64,19 +96,43 @@ impl<'a, P: Sync, M: Metric<P>> Gmm<'a, P, M> {
         let c = &self.points[idx];
         let metric = self.metric;
         let points = self.points;
-        // One O(n) scan, chunked for the pool at the granularity the
+        // One skip threshold per existing center `a` (τ small distance
+        // calls per step): a point whose nearest center is `a` and whose
+        // proxy is at most `thr[a]` lies within half the `c`–`a` gap of
+        // `a`, so the triangle inequality proves `c` cannot be strictly
+        // closer — the relax below would leave it unchanged (see
+        // `Metric::no_closer_at_most` for why this holds for the rounded
+        // proxies too). Metrics without the bound answer `NEG_INFINITY`.
+        // With no finite threshold — also on the first step, which has no
+        // existing center to index — the scan prices every point.
+        self.thr.clear();
+        self.thr.extend(
+            self.centers[..center_pos as usize]
+                .iter()
+                .map(|&a| metric.no_closer_at_most(metric.cmp_distance(c, &points[a]))),
+        );
+        let thr = &self.thr[..];
+        let prunable = thr.iter().any(|&t| t > f64::NEG_INFINITY);
+        // One O(n) pass, chunked for the pool at the granularity the
         // adaptive splitter currently targets (finer while the pool
         // observes steals, coarser when its workers are saturated), but
         // never below the shim's work grain at one distance per point, so
-        // a small partition's scan runs as one chunk. Each chunk relaxes
-        // its points against the new center (comparing sqrt-free proxies)
-        // and reports its local farthest point; chunk winners combine
-        // left-to-right, earliest index winning ties — identical to a
-        // sequential scan for every chunk length. Inside a chunk the
-        // proxies come from the batched block kernel, in stack sub-blocks
+        // a small partition's scan runs as one chunk. Each chunk walks its
+        // points in 128-point stack sub-blocks. A sub-block first lists,
+        // without branches, its candidates: the points above their
+        // nearest center's threshold. If at least a quarter are
+        // candidates, the batched block kernel prices the whole sub-block
         // (bit-identical to per-point `cmp_distance`, see the
-        // `Metric::cmp_distance_block` contract), and the relax loop then
-        // visits them in the same order the scalar scan did.
+        // `Metric::cmp_distance_block` contract); otherwise the scalar
+        // `cmp_distance` prices just the candidates. Either way each
+        // priced point relaxes against the new center (comparing sqrt-free
+        // proxies), and a skipped point is one the relax would not have
+        // changed, so `dist` and `nearest` come out bit-identical to the
+        // dense scan. The farthest-point pass then walks the sub-block's
+        // `dist` in order; chunk winners combine left-to-right, earliest
+        // index winning ties — identical to a sequential scan for every
+        // chunk length.
+        // At most 256, so candidate positions fit in a `u8`.
         const SUB: usize = 128;
         let scan_chunk = rayon::adaptive_chunk_len(self.dist.len(), 1);
         let (far_idx, far_cmp) = self
@@ -88,24 +144,52 @@ impl<'a, P: Sync, M: Metric<P>> Gmm<'a, P, M> {
                 let base = ci * scan_chunk;
                 let mut best = (usize::MAX, f64::NEG_INFINITY);
                 let mut buf = [0.0f64; SUB];
+                let mut cand = [0u8; SUB];
+                let mut priced = 0usize;
                 let mut off = 0;
                 while off < dist_chunk.len() {
                     let len = SUB.min(dist_chunk.len() - off);
                     let start = base + off;
-                    metric.cmp_distance_block(c, &points[start..start + len], &mut buf[..len]);
-                    let dists = dist_chunk[off..off + len].iter_mut();
-                    let nears = near_chunk[off..off + len].iter_mut();
-                    for (j, ((d, near), &nd)) in dists.zip(nears).zip(&buf[..len]).enumerate() {
-                        if nd < *d {
-                            *d = nd;
-                            *near = center_pos;
+                    let block = &points[start..start + len];
+                    let dists = &mut dist_chunk[off..off + len];
+                    let nears = &mut near_chunk[off..off + len];
+                    let mut n_cand = len;
+                    if prunable {
+                        n_cand = 0;
+                        for (j, (&d, &a)) in dists.iter().zip(nears.iter()).enumerate() {
+                            cand[n_cand] = j as u8;
+                            n_cand += usize::from(d > thr[a as usize]);
                         }
-                        if *d > best.1 {
-                            best = (start + j, *d);
+                    }
+                    if 4 * n_cand >= len {
+                        metric.cmp_distance_block(c, block, &mut buf[..len]);
+                        for ((d, near), &nd) in dists.iter_mut().zip(nears.iter_mut()).zip(&buf) {
+                            if nd < *d {
+                                *d = nd;
+                                *near = center_pos;
+                            }
+                        }
+                        priced += len;
+                    } else {
+                        for &j in &cand[..n_cand] {
+                            let j = usize::from(j);
+                            let nd = metric.cmp_distance(c, &block[j]);
+                            if nd < dists[j] {
+                                dists[j] = nd;
+                                nears[j] = center_pos;
+                            }
+                        }
+                        priced += n_cand;
+                    }
+                    for (j, &d) in dists.iter().enumerate() {
+                        if d > best.1 {
+                            best = (start + j, d);
                         }
                     }
                     off += len;
                 }
+                point_steps().add(dist_chunk.len() as u64);
+                distances().add(priced as u64);
                 best
             })
             .reduce(

@@ -36,6 +36,15 @@ fn fingerprint_points<P: Coordinates>(metric_name: &str, points: &[P]) -> u128 {
 /// (Gonzalez' 2-approximation, Charikar et al.'s 3-approximation, and all the
 /// coreset arguments built on them) are triangle-inequality arguments.
 ///
+/// Only [`Metric::distance`] is required. The other methods have defaults
+/// that implementations override for speed, under exact contracts: a
+/// comparison proxy that skips the `sqrt` ([`Metric::cmp_distance`] and
+/// its conversions), batched block kernels bit-identical to the scalar
+/// methods, and a pruning bound ([`Metric::no_closer_at_most`]) that lets
+/// farthest-first scans skip points the triangle inequality proves a new
+/// center cannot improve — which must hold for the *rounded* proxies, and
+/// whose default never skips.
+///
 /// The `Sync + Send` bounds allow distance evaluation from rayon worker
 /// threads in the MapReduce simulator and the parallel kernels.
 pub trait Metric<P: ?Sized>: Sync + Send {
@@ -125,6 +134,27 @@ pub trait Metric<P: ?Sized>: Sync + Send {
         }
     }
 
+    /// Pruning bound for farthest-first scans: given `gap_cmp =
+    /// cmp_distance(c, a)` between a new center `c` and an existing
+    /// center `a`, returns a proxy threshold `t` such that every point `p`
+    /// with `cmp_distance(a, p) <= t` has `cmp_distance(c, p) >=
+    /// cmp_distance(a, p)` **as computed** — so `p` cannot get strictly
+    /// closer to `c` and the scan may skip its distance evaluation.
+    ///
+    /// Geometrically this is the triangle inequality: `d(p, a) <= d(c,
+    /// a) / 2` implies `d(p, c) >= d(c, a) - d(p, a) >= d(p, a)`. An
+    /// override must make the bound hold for the *rounded* proxies, not
+    /// just for exact distances: a wrong skip changes GMM's trace. The
+    /// default `f64::NEG_INFINITY` never skips, which is the only safe
+    /// answer for metrics without such a guarantee ([`CosineAngular`],
+    /// whose `acos` rounding is not bounded relative to the angle, and
+    /// [`Precomputed`], whose matrix is arbitrary).
+    #[inline]
+    fn no_closer_at_most(&self, gap_cmp: f64) -> f64 {
+        let _ = gap_cmp;
+        f64::NEG_INFINITY
+    }
+
     /// A deterministic content fingerprint of `points` *under this metric*,
     /// or `None` when the metric cannot (or should not) key a persistent
     /// cache entry.
@@ -193,11 +223,56 @@ impl<P: ?Sized, M: Metric<P> + ?Sized> Metric<P> for &M {
         (**self).within_block(query, block, cmp_threshold, out)
     }
 
+    #[inline]
+    fn no_closer_at_most(&self, gap_cmp: f64) -> f64 {
+        (**self).no_closer_at_most(gap_cmp)
+    }
+
     fn cache_fingerprint(&self, points: &[P]) -> Option<u128>
     where
         P: Sized,
     {
         (**self).cache_fingerprint(points)
+    }
+}
+
+/// Relative slack the coordinate metrics take off their
+/// [`Metric::no_closer_at_most`] bound, so that it holds for rounded
+/// proxies and not only for exact distances.
+///
+/// Rounding argument. Every proxy is one chain of correctly rounded
+/// operations without FMA (`kernels::scalar_cmp`, which the block kernels
+/// match bitwise). So a computed proxy `ŝ` of an exact value `s` (the squared
+/// distance for L2, the distance for L1 and L∞) is within `γ·s` of it, with
+/// `γ ≈ (dim + 2)·2⁻⁵³`: each subtraction's rounding counts twice once
+/// squared, each square's once, and the summation adds `dim - 1`. Write `g =
+/// d(c, a)` and `x = d(p, a)` for the exact distances, and let the L2 skip
+/// test `ŝ(p, a) <= (1 - m)·ŝ(c, a)/4` pass (`/2` for L1 and L∞). Undoing the
+/// rounding gives `x <= ρ·g/2`, where to first order `ρ = 1 - m/2 + γ` (`1 -
+/// m + 2γ` for L1 and L∞). The triangle inequality then gives `d(p, c) >= g -
+/// x >= (2/ρ - 1)·x`, so `ŝ(p, c) >= (1 - γ)/(1 + γ)·(2/ρ - 1)²·ŝ(p, a)`,
+/// which is `(1 + 2m - 6γ)·ŝ(p, a)` to first order (the same factor,
+/// unsquared, for L1 and L∞). That is at least `ŝ(p, a)` whenever `m >= 3γ`;
+/// with `m = 10⁻⁹` it holds for `dim` up to about `3·10⁶`. Underflow adds an
+/// absolute error of at most `dim·2⁻¹⁰⁷⁴` per proxy, which [`PRUNE_MIN_GAP`]
+/// keeps far below the bound's absolute slack (of order `m` times the gap).
+/// An overflowed (infinite) gap never prunes.
+const PRUNE_MARGIN: f64 = 1e-9;
+
+/// Smallest proxy gap the coordinate metrics prune with: below it the
+/// underflow term of the [`PRUNE_MARGIN`] argument is no longer negligible,
+/// so [`Metric::no_closer_at_most`] answers "never skip".
+const PRUNE_MIN_GAP: f64 = 1e-250;
+
+/// The coordinate metrics' [`Metric::no_closer_at_most`]: `gap_cmp ·
+/// factor`, shrunk by [`PRUNE_MARGIN`], or `NEG_INFINITY` for gaps that
+/// are not finite or too small to prune with.
+#[inline]
+fn shrunk_gap(gap_cmp: f64, factor: f64) -> f64 {
+    if gap_cmp.is_finite() && gap_cmp >= PRUNE_MIN_GAP {
+        gap_cmp * factor * (1.0 - PRUNE_MARGIN)
+    } else {
+        f64::NEG_INFINITY
     }
 }
 
@@ -275,6 +350,12 @@ impl<P: Coordinates> Metric<P> for Euclidean {
         );
     }
 
+    // The proxy is squared: `d(p, a) <= d(c, a)/2` is `ŝ(p, a) <= ŝ(c, a)/4`.
+    #[inline]
+    fn no_closer_at_most(&self, gap_cmp: f64) -> f64 {
+        shrunk_gap(gap_cmp, 0.25)
+    }
+
     fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {
         Some(fingerprint_points("euclidean", points))
     }
@@ -317,6 +398,11 @@ impl<P: Coordinates> Metric<P> for Manhattan {
         );
     }
 
+    #[inline]
+    fn no_closer_at_most(&self, gap_cmp: f64) -> f64 {
+        shrunk_gap(gap_cmp, 0.5)
+    }
+
     fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {
         Some(fingerprint_points("manhattan", points))
     }
@@ -356,6 +442,11 @@ impl<P: Coordinates> Metric<P> for Chebyshev {
             cmp_threshold,
             out,
         );
+    }
+
+    #[inline]
+    fn no_closer_at_most(&self, gap_cmp: f64) -> f64 {
+        shrunk_gap(gap_cmp, 0.5)
     }
 
     fn cache_fingerprint(&self, points: &[P]) -> Option<u128> {

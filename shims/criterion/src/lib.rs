@@ -1,74 +1,16 @@
-//! Offline API-compatible shim for `criterion`.
+//! Offline stand-in for `criterion`'s measurement core.
 //!
 //! The build environment has no registry access, so this vendored crate
-//! provides the macro/type surface the workspace's benches use —
-//! `criterion_group!`, `criterion_main!`, `Criterion::benchmark_group`,
-//! `bench_with_input`, `bench_function`, `Bencher::iter`, `BenchmarkId`,
-//! `Throughput` — backed by the measurement procedure in [`measure`]:
-//! warmup iterations (discarded) followed by `N` timed samples, with
-//! MAD-based outlier rejection (samples farther than `3·MAD` from the
-//! median are dropped) and the median of the surviving samples reported.
-//! There is no HTML report or baseline comparison, but the per-benchmark
-//! statistics (median, MAD, rejected count) are printed and exposed
-//! programmatically as [`Measurement`] so harnesses (e.g. the workspace's
-//! bench-runner binary) can persist machine-readable numbers.
-//!
-//! Sample counts are intentionally small (and overridable via the
-//! `CRITERION_SHIM_SAMPLES` / `CRITERION_SHIM_WARMUP` environment
-//! variables) so accidentally *running* the benches — e.g.
-//! `cargo test --benches` — stays fast.
+//! provides the one piece the workspace's `bench_runner` binary uses: the
+//! measurement procedure in [`measure`] (and its interleaved A/B form
+//! [`measure_paired`]) — warmup iterations (discarded) followed by `N`
+//! timed samples, with MAD-based outlier rejection (samples farther than
+//! `3·MAD` from the median are dropped) and the median of the surviving
+//! samples reported as a [`Measurement`], so the runner can persist
+//! machine-readable numbers.
 
-use std::fmt::Display;
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Prevents the compiler from optimising away a benchmarked value.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
-
-/// Throughput annotation for a benchmark (recorded, reported per-element).
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    /// Elements processed per iteration.
-    Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
-}
-
-/// Identifier of one benchmark within a group.
-#[derive(Clone, Debug)]
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// An id composed of a function name and a parameter value.
-    pub fn new(name: impl Display, param: impl Display) -> Self {
-        BenchmarkId {
-            id: format!("{name}/{param}"),
-        }
-    }
-
-    /// An id consisting only of a parameter value.
-    pub fn from_parameter(param: impl Display) -> Self {
-        BenchmarkId {
-            id: param.to_string(),
-        }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(id: &str) -> Self {
-        BenchmarkId { id: id.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(id: String) -> Self {
-        BenchmarkId { id }
-    }
-}
 
 /// One benchmark measurement: warmup + samples + MAD outlier rejection.
 #[derive(Clone, Copy, Debug)]
@@ -88,19 +30,15 @@ pub struct Measurement {
 /// reduces the timings to a [`Measurement`]: the median of the samples
 /// within `3·MAD` of the raw median. With `MAD = 0` (quiescent machine, or
 /// timer granularity) nothing is rejected.
-///
-/// This is the measurement kernel behind [`Bencher::iter`], exposed so
-/// harnesses can collect machine-readable numbers without going through
-/// the macro surface.
 pub fn measure<R, F: FnMut() -> R>(warmup: usize, samples: usize, mut f: F) -> Measurement {
     for _ in 0..warmup {
-        std_black_box(f());
+        black_box(f());
     }
     let samples = samples.max(1);
     let mut times: Vec<Duration> = Vec::with_capacity(samples);
     for _ in 0..samples {
         let start = Instant::now();
-        std_black_box(f());
+        black_box(f());
         times.push(start.elapsed());
     }
     reduce_samples(times)
@@ -125,20 +63,20 @@ where
     FB: FnMut() -> RB,
 {
     for _ in 0..warmup {
-        std_black_box(a());
-        std_black_box(b());
+        black_box(a());
+        black_box(b());
     }
     let samples = samples.max(1);
     let mut times_a: Vec<Duration> = Vec::with_capacity(samples);
     let mut times_b: Vec<Duration> = Vec::with_capacity(samples);
     let mut time_a = |times_a: &mut Vec<Duration>| {
         let start = Instant::now();
-        std_black_box(a());
+        black_box(a());
         times_a.push(start.elapsed());
     };
     let mut time_b = |times_b: &mut Vec<Duration>| {
         let start = Instant::now();
-        std_black_box(b());
+        black_box(b());
         times_b.push(start.elapsed());
     };
     for i in 0..samples {
@@ -180,219 +118,9 @@ fn reduce_samples(times: Vec<Duration>) -> Measurement {
     }
 }
 
-/// Top-level benchmark driver, handed to every `criterion_group!` function.
-pub struct Criterion {
-    samples: usize,
-    warmup: usize,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        let samples = std::env::var("CRITERION_SHIM_SAMPLES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(7);
-        let warmup = std::env::var("CRITERION_SHIM_WARMUP")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(2);
-        Criterion { samples, warmup }
-    }
-}
-
-impl Criterion {
-    /// Opens a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup {
-            name: name.into(),
-            samples: self.samples,
-            warmup: self.warmup,
-            throughput: None,
-            _criterion: self,
-        }
-    }
-
-    /// Benchmarks a single function outside any group.
-    pub fn bench_function<F>(&mut self, name: &str, f: F)
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_benchmark(name, self.samples, self.warmup, None, f);
-    }
-}
-
-/// A group of benchmarks sharing a name prefix and throughput annotation.
-pub struct BenchmarkGroup<'a> {
-    name: String,
-    samples: usize,
-    warmup: usize,
-    throughput: Option<Throughput>,
-    _criterion: &'a mut Criterion,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the throughput annotation for subsequent benchmarks.
-    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
-        self.throughput = Some(throughput);
-        self
-    }
-
-    /// Sets the sample count for subsequent benchmarks.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.samples = n.clamp(1, 20);
-        self
-    }
-
-    /// Benchmarks `f` with `input` passed by reference.
-    pub fn bench_with_input<I: ?Sized, F>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        let label = format!("{}/{}", self.name, id.id);
-        run_benchmark(&label, self.samples, self.warmup, self.throughput, |b| {
-            f(b, input)
-        });
-        self
-    }
-
-    /// Benchmarks `f` with no input.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let label = format!("{}/{}", self.name, id.into().id);
-        run_benchmark(&label, self.samples, self.warmup, self.throughput, f);
-        self
-    }
-
-    /// Ends the group.
-    pub fn finish(self) {}
-}
-
-/// Times closures handed to it by a benchmark body.
-pub struct Bencher {
-    samples: usize,
-    warmup: usize,
-    measurement: Option<Measurement>,
-}
-
-impl Bencher {
-    /// Times `f` via [`measure`]: warmup, `samples` timed runs, MAD-based
-    /// outlier rejection, median of the survivors.
-    pub fn iter<R, F: FnMut() -> R>(&mut self, f: F) {
-        self.measurement = Some(measure(self.warmup, self.samples, f));
-    }
-}
-
-fn run_benchmark<F>(
-    label: &str,
-    samples: usize,
-    warmup: usize,
-    throughput: Option<Throughput>,
-    mut f: F,
-) where
-    F: FnMut(&mut Bencher),
-{
-    let mut bencher = Bencher {
-        samples: samples.max(1),
-        warmup,
-        measurement: None,
-    };
-    f(&mut bencher);
-    match bencher.measurement {
-        Some(m) => {
-            let t = m.median;
-            let per_unit = match throughput {
-                Some(Throughput::Elements(n)) if n > 0 => {
-                    format!(" ({:.1} ns/elem)", t.as_nanos() as f64 / n as f64)
-                }
-                Some(Throughput::Bytes(n)) if n > 0 => {
-                    format!(" ({:.1} ns/byte)", t.as_nanos() as f64 / n as f64)
-                }
-                _ => String::new(),
-            };
-            let rejected = if m.rejected > 0 {
-                format!(", {} outlier(s) rejected", m.rejected)
-            } else {
-                String::new()
-            };
-            println!(
-                "bench: {label:<50} {t:>12.2?} ±{:.2?} [n={}{rejected}]{per_unit}",
-                m.mad, m.samples
-            );
-        }
-        None => println!("bench: {label:<50} (no measurement)"),
-    }
-}
-
-/// Declares a benchmark group function, mirroring criterion's macro.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut criterion = $crate::Criterion::default();
-            $( $target(&mut criterion); )+
-        }
-    };
-    (name = $group:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut criterion = $config;
-            $( $target(&mut criterion); )+
-        }
-    };
-}
-
-/// Declares the bench binary's `main`, mirroring criterion's macro.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            // `cargo bench`/`cargo test` pass harness flags (e.g. `--bench`,
-            // `--test`); this shim accepts and ignores them.
-            $( $group(); )+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_bench(c: &mut Criterion) {
-        let mut group = c.benchmark_group("shim_smoke");
-        group.sample_size(3);
-        group.throughput(Throughput::Elements(128));
-        group.bench_with_input(BenchmarkId::new("sum", 128), &128u64, |b, &n| {
-            b.iter(|| (0..n).map(black_box).sum::<u64>());
-        });
-        group.bench_function(BenchmarkId::from_parameter("noop"), |b| b.iter(|| 1 + 1));
-        group.finish();
-    }
-
-    criterion_group!(benches, sample_bench);
-
-    #[test]
-    fn group_macro_runs() {
-        benches();
-    }
-
-    #[test]
-    fn bencher_records_time() {
-        let mut b = Bencher {
-            samples: 3,
-            warmup: 1,
-            measurement: None,
-        };
-        b.iter(|| std::thread::sleep(std::time::Duration::from_micros(50)));
-        let m = b.measurement.unwrap();
-        assert!(m.median >= std::time::Duration::from_micros(50));
-        assert_eq!(m.samples, 3);
-    }
 
     #[test]
     fn measure_runs_warmup_and_samples() {

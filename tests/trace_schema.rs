@@ -308,9 +308,24 @@ fn report_json_carries_the_metrics_snapshot() {
             .expect("histogram count");
         assert_eq!(count, 1, "{histogram} must observe exactly one round");
     }
-    let jobs = find("exec.jobs.coreset")
-        .get("value")
-        .and_then(Json::as_u64)
-        .expect("counter value");
-    assert_eq!(jobs, 2, "one coreset job per partition at --procs 2");
+    let counter = |name: &str| {
+        find(name)
+            .get("value")
+            .and_then(Json::as_u64)
+            .expect("counter value")
+    };
+    assert_eq!(
+        counter("exec.jobs.coreset"),
+        2,
+        "one coreset job per partition at --procs 2"
+    );
+    // Round 1's GMM scans ran in the workers, whose counter deltas fold
+    // in under `exec.worker.`: every visited point-step is counted, and
+    // pruning never prices more points than the scan visits.
+    let steps = counter("exec.worker.core.gmm.point_steps");
+    let priced = counter("exec.worker.core.gmm.distances");
+    assert!(
+        steps > 0 && priced > 0 && priced <= steps,
+        "GMM scan counters: {priced} priced of {steps} point-steps"
+    );
 }
