@@ -19,6 +19,26 @@
 //! Feasibility at the returned radius is always *verified*, never assumed:
 //! the greedy cover is not theoretically monotone in `r`, so the binary
 //! search maintains a known-feasible upper bound and returns its result.
+//!
+//! **Ball lists across evaluations.** When the oracle is backed by a
+//! condensed proxy matrix ([`DistanceOracle::cmp_matrix`]: the cached path
+//! of [`solve_coreset_cached`]), the search cuts one set of sorted per-row
+//! ball lists from it and runs every `OutliersCluster` evaluation on them
+//! (see [`crate::outliers_cluster`]). The lists' cap starts at the first
+//! evaluation's selection threshold and grows, never shrinks, when an
+//! evaluation's threshold lies above it: each row's `(old cap, new cap]`
+//! slice is appended, so the binary search's descent after a feasible
+//! guess reads the lists already built. A growth is refused when the lists
+//! would hold more bytes than the matrix itself (than a quarter of it once
+//! the matrix passes 1 MiB); that evaluation —
+//! typically the top candidate, whose balls hold the whole coreset — reads
+//! the matrix with the same comparisons instead, as does every evaluation
+//! on an on-demand [`PointsOracle`]. The source never changes a result:
+//! radius bits, clustering and evaluation count are those of the row-read
+//! search.
+
+use std::cell::Cell;
+use std::sync::OnceLock;
 
 use rayon::prelude::*;
 
@@ -26,8 +46,15 @@ use kcenter_metric::{CachedOracle, Metric};
 
 use crate::coreset::WeightedCoreset;
 use crate::outliers_cluster::{
-    outliers_cluster, CmpMatrixRef, DistanceOracle, OutliersClusterResult, PointsOracle,
+    greedy_cover, BallLists, CmpMatrixRef, DistanceOracle, OutliersClusterResult, PointsOracle,
 };
+
+/// `OutliersCluster` calls made by radius searches
+/// (`core.search.evaluations`).
+fn evaluations_counter() -> &'static kcenter_obs::Counter {
+    static COUNTER: OnceLock<kcenter_obs::Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| kcenter_obs::counter("core.search.evaluations"))
+}
 
 /// Which candidate-radius structure the search walks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,16 +101,20 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
     // pool task).
     oracle.prepare();
 
-    let evaluations = std::cell::Cell::new(0usize);
-    let feasible = |r: f64| -> Option<OutliersClusterResult> {
+    let evaluations = Cell::new(0usize);
+    let mut lists = oracle.cmp_matrix().and_then(BallLists::new);
+    let mut evaluate = |r: f64| -> OutliersClusterResult {
         evaluations.set(evaluations.get() + 1);
-        let result = outliers_cluster(oracle, weights, k, r, eps_hat);
+        evaluations_counter().inc();
+        greedy_cover(oracle, lists.as_mut(), weights, k, r, eps_hat)
+    };
+    let feasible = |result: OutliersClusterResult| -> Option<OutliersClusterResult> {
         (result.uncovered_weight <= z_weight).then_some(result)
     };
 
     // r = 0 succeeds when k centers cover all-but-z weight exactly
     // (duplicates, or nearly everything allowed to be an outlier).
-    if let Some(result) = feasible(0.0) {
+    if let Some(result) = feasible(evaluate(0.0)) {
         return RadiusSearchResult {
             radius: 0.0,
             clustering: result,
@@ -147,11 +178,11 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
         // Degenerate: no positive pairwise distance, yet r = 0 infeasible —
         // cover everything with one ball of any positive radius is also
         // impossible only if k < needed; fall back to r = 0 result.
-        let result = outliers_cluster(oracle, weights, k, 0.0, eps_hat);
+        let result = evaluate(0.0);
         return RadiusSearchResult {
             radius: 0.0,
             clustering: result,
-            evaluations: evaluations.get() + 1,
+            evaluations: evaluations.get(),
         };
     }
 
@@ -160,14 +191,14 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
     let mut lo = 0usize; // infeasible or untested below
     let mut hi = candidates.len() - 1;
     let mut best: Option<(f64, OutliersClusterResult)>;
-    match feasible(candidates[hi]) {
+    match feasible(evaluate(candidates[hi])) {
         Some(result) => best = Some((candidates[hi], result)),
         None => {
             // Should not happen (diameter covers all), but stay defensive:
             // extend upward geometrically until feasible.
             let mut r = candidates[hi] * 2.0;
             loop {
-                if let Some(result) = feasible(r) {
+                if let Some(result) = feasible(evaluate(r)) {
                     return RadiusSearchResult {
                         radius: r,
                         clustering: result,
@@ -182,7 +213,7 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
 
     // Binary search for the smallest feasible candidate; `hi` stays the
     // smallest *verified* feasible index.
-    if let Some(result) = feasible(candidates[lo]) {
+    if let Some(result) = feasible(evaluate(candidates[lo])) {
         let (r, res) = (candidates[lo], result);
         return RadiusSearchResult {
             radius: r,
@@ -192,7 +223,7 @@ pub fn find_min_feasible_radius<O: DistanceOracle>(
     }
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
-        match feasible(candidates[mid]) {
+        match feasible(evaluate(candidates[mid])) {
             Some(result) => {
                 hi = mid;
                 best = Some((candidates[mid], result));

@@ -12,7 +12,9 @@
 //! * **Query** — centers/radius/uncovered-weight on demand via the cached
 //!   finalization path (`solve_coreset` → `CachedOracle` →
 //!   `solve_coreset_cached`) over a snapshot of the live coreset, with a
-//!   per-session answer memo keyed by (stream position, k, z, ε).
+//!   per-session answer memo keyed by (stream position, k, z, ε). Only the
+//!   snapshot is taken under the registry lock; the solve runs outside it,
+//!   so a query never stalls another client's ingest.
 //! * **Snapshot / evict / restore** — session state persists to the
 //!   artifact store as `ArtifactKind::Session`, content-addressed by
 //!   `(tenant, stream, τ)`. Idle sessions are evicted under a configurable

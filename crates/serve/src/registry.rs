@@ -494,6 +494,12 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
     /// (`solve_coreset` prices the coreset into a `CachedOracle` and runs
     /// `solve_coreset_cached`). Repeating a query at an unchanged stream
     /// position returns the memoized answer.
+    ///
+    /// Only the snapshot is taken under the registry lock; the solve runs
+    /// without it, so a query never stalls ingest into any session, its
+    /// own included. The answer reflects the snapshot and reports its
+    /// `processed`. It is memoized only if the session is still resident at
+    /// that position when the solve ends.
     pub fn query(
         &self,
         tenant: &str,
@@ -543,7 +549,7 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
                 });
             }
         }
-        // Solve over a snapshot of the live coreset.
+        // Snapshot the live coreset, then solve without the lock.
         let query_span = kcenter_obs::span!("serve.query.solve");
         let coreset = session
             .coreset
@@ -553,6 +559,7 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
             .zip(session.coreset.weights().iter().copied())
             .map(|(point, weight)| WeightedPoint { point, weight })
             .collect::<kcenter_core::WeightedCoreset<Point>>();
+        drop(inner);
         let solution = solve_coreset(
             &coreset,
             &self.metric,
@@ -571,7 +578,16 @@ impl<M: Metric<Point> + Clone + Sync> SessionRegistry<M> {
         };
         query_span.field("k", k as u64).finish();
         kcenter_obs::counter("serve.queries").inc();
-        session.last_answer = Some((query_key, solution));
+        let mut inner = self.lock();
+        if let Some(Entry {
+            state: EntryState::Resident(session),
+            ..
+        }) = inner.sessions.get_mut(&key)
+        {
+            if session.coreset.processed() == processed {
+                session.last_answer = Some((query_key, solution));
+            }
+        }
         Ok(answer)
     }
 

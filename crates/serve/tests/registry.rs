@@ -7,7 +7,9 @@ use std::time::Instant;
 use kcenter_core::WeightedDoublingCoreset;
 use kcenter_metric::{Euclidean, Point};
 use kcenter_serve::server::reply_field;
-use kcenter_serve::{run_server, RegistryConfig, ServeClient, ServeError, SessionRegistry};
+use kcenter_serve::{
+    run_server, QueryAnswer, RegistryConfig, ServeClient, ServeError, SessionRegistry,
+};
 use kcenter_store::ArtifactStore;
 use kcenter_stream::StreamingAlgorithm;
 
@@ -181,6 +183,74 @@ fn query_answers_are_memoized_per_stream_position() {
     // …and so does new data.
     registry.ingest("t", "s", session_points(3, 10)).unwrap();
     assert!(!registry.query("t", "s", 3, 2, 0.25).unwrap().cached);
+}
+
+#[test]
+fn concurrent_ingest_and_query_match_a_serial_replay() {
+    // Two threads each feed their own session and query both after every
+    // batch, starting each round together at a barrier, so one thread's
+    // solves overlap the other's ingest. Ingest holds the registry lock
+    // through a batch, so every answer stands at a batch boundary. Every
+    // answer must equal, bitwise, what a single-threaded replay answers at
+    // the `processed` the answer reports.
+    const BATCH: usize = 40;
+    let streams = ["left", "right"];
+    let points = |i: usize| session_points(10 + i as u64, 960);
+    let registry = SessionRegistry::new(Euclidean, config(24, None), None).unwrap();
+    let round = std::sync::Barrier::new(2);
+    let seen: Vec<(usize, QueryAnswer)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|i| {
+                let (registry, round) = (&registry, &round);
+                scope.spawn(move || {
+                    let mut seen = Vec::new();
+                    for batch in points(i).chunks(BATCH) {
+                        round.wait();
+                        registry.ingest("t", streams[i], batch.to_vec()).unwrap();
+                        for (j, stream) in streams.iter().enumerate() {
+                            match registry.query("t", stream, 3, 4, 0.25) {
+                                Ok(answer) => seen.push((j, answer)),
+                                // The other thread has not ingested yet.
+                                Err(ServeError::UnknownSession) => {}
+                                Err(e) => panic!("query failed: {e}"),
+                            }
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+
+    let replay = SessionRegistry::new(Euclidean, config(24, None), None).unwrap();
+    let mut expected = std::collections::HashMap::new();
+    for (j, stream) in streams.iter().enumerate() {
+        for batch in points(j).chunks(BATCH) {
+            replay.ingest("t", stream, batch.to_vec()).unwrap();
+            let answer = replay.query("t", stream, 3, 4, 0.25).unwrap();
+            expected.insert((j, answer.processed), answer);
+        }
+    }
+    let bits = |a: &QueryAnswer| -> Vec<u64> {
+        a.centers
+            .iter()
+            .flat_map(|c| c.coords().iter().map(|x| x.to_bits()))
+            .collect()
+    };
+    assert!(seen.len() >= 2 * points(0).len() / BATCH);
+    for (j, answer) in &seen {
+        let want = expected
+            .get(&(*j, answer.processed))
+            .unwrap_or_else(|| panic!("{}: no batch ends at {}", streams[*j], answer.processed));
+        let at = format!("{} at {}", streams[*j], answer.processed);
+        assert_eq!(answer.radius.to_bits(), want.radius.to_bits(), "{at}");
+        assert_eq!(answer.uncovered_weight, want.uncovered_weight, "{at}");
+        assert_eq!(bits(answer), bits(want), "{at}");
+    }
 }
 
 #[test]

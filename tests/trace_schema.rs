@@ -16,6 +16,11 @@ use std::process::Command;
 use kcenter_obs::json::{parse, Json};
 
 fn run_kcenter(args: &[&str]) -> String {
+    run_kcenter_streams(args).0
+}
+
+/// [`run_kcenter`], returning stderr beside stdout.
+fn run_kcenter_streams(args: &[&str]) -> (String, String) {
     let manifest_dir = env!("CARGO_MANIFEST_DIR");
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let output = Command::new(&cargo)
@@ -42,7 +47,10 @@ fn run_kcenter(args: &[&str]) -> String {
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr),
     );
-    String::from_utf8_lossy(&output.stdout).into_owned()
+    (
+        String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -327,5 +335,59 @@ fn report_json_carries_the_metrics_snapshot() {
     assert!(
         steps > 0 && priced > 0 && priced <= steps,
         "GMM scan counters: {priced} priced of {steps} point-steps"
+    );
+
+    // The outliers run searches its radius in the coordinator, over ball
+    // lists cut from the union's matrix: both search counters are in the
+    // snapshot, and the lists keep entries, never more than the union's
+    // ordered pairs.
+    let (out, err) = run_kcenter_streams(&[
+        "cluster",
+        "--input",
+        &data_str,
+        "--k",
+        "3",
+        "--z",
+        "5",
+        "--algo",
+        "mr-outliers",
+        "--procs",
+        "2",
+        "--cache-dir",
+        "",
+        "--report",
+        "json",
+    ]);
+    let line = out
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .unwrap_or_else(|| panic!("no JSON report line in:\n{out}"));
+    let report = parse(line).unwrap_or_else(|e| panic!("report does not parse: {e}\n{line}"));
+    let entries = report
+        .get("metrics")
+        .and_then(|m| m.get("metrics"))
+        .and_then(Json::as_array)
+        .expect("metrics array");
+    let counter = |name: &str| {
+        entries
+            .iter()
+            .find(|m| m.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("no {name} metric in report"))
+            .get("value")
+            .and_then(Json::as_u64)
+            .expect("counter value")
+    };
+    let union: u64 = err
+        .lines()
+        .find_map(|l| l.strip_prefix("executor: union = "))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no union size in stderr:\n{err}"));
+    let evaluations = counter("core.search.evaluations");
+    let ball_entries = counter("core.search.ball_entries");
+    assert!(evaluations > 0, "the radius search ran no evaluation");
+    assert!(
+        ball_entries > 0 && ball_entries <= union * (union - 1),
+        "{ball_entries} ball-list entries over a {union}-point union"
     );
 }
